@@ -106,10 +106,6 @@ int main(int argc, char** argv) {
             "block submitters when the job queue is full instead of\n"
             "answering overloaded + retry_after_ms",
             &block_when_full)
-      .flag({"--thread-per-connection"},
-            "legacy accept loop: one blocking thread per connection\n"
-            "(the poll-based event loop is the default)",
-            &server_options.thread_per_connection)
       .value({"--dispatch-threads"}, "N",
              "event-loop dispatch pool size (default: auto)",
              [&](const std::string& opt, const std::string& v) {
@@ -233,8 +229,6 @@ int main(int argc, char** argv) {
     obs::log().info(
         "lbd.start",
         {{"port", std::uint64_t{server.port()}},
-         {"mode", server_options.thread_per_connection ? "thread-per-conn"
-                                                       : "event-loop"},
          {"workers", std::uint64_t{server_options.engine.workers}},
          {"queue_depth", std::uint64_t{server_options.engine.queue_depth}},
          {"flight_recorder", std::uint64_t{recorder_spans}},

@@ -10,12 +10,8 @@
 # Produces <out-dir>/BENCH_arbiters.json (arbiter_microbench: cost per
 # arbitration decision + whole-testbed cycles/s),
 # <out-dir>/BENCH_iqswitch.json (iq_switch_throughput: switch slots/s),
-# <out-dir>/BENCH_service.json (server_saturation: lbd requests/sec vs
-# connection count for the event loop and the legacy thread-per-connection
-# accept loop; its --guard flag fails the run if the event loop falls
-# below the documented floor of the threaded throughput at the highest
-# connection count), <out-dir>/BENCH_kernel.json (kernel_fastforward:
-# naive vs fast-forward kernel cycles/s plus the speedup per idle level;
+# <out-dir>/BENCH_kernel.json (kernel_fastforward: naive vs fast-forward
+# kernel cycles/s plus the speedup per idle level;
 # its --guard flag fails the run outright if the fast kernel is slower
 # than the naive stepper on the highest-idle sweep, or if the two modes'
 # statistics diverge) and
@@ -39,12 +35,11 @@ BUILD="${1:-build}"
 OUT="${2:-$BUILD/bench-results}"
 MICRO="$BUILD/bench/arbiter_microbench"
 IQ="$BUILD/bench/iq_switch_throughput"
-SAT="$BUILD/bench/server_saturation"
 KERNEL="$BUILD/bench/kernel_fastforward"
 NOC="$BUILD/bench/noc_mesh_latency"
 OBS="$BUILD/bench/obs_overhead"
 REPL="$BUILD/bench/replication_confidence"
-for bin in "$MICRO" "$IQ" "$SAT" "$KERNEL" "$NOC" "$OBS" "$REPL"; do
+for bin in "$MICRO" "$IQ" "$KERNEL" "$NOC" "$OBS" "$REPL"; do
   [[ -x "$bin" ]] || { echo "bench_trajectory: missing $bin (build first)"; exit 1; }
 done
 mkdir -p "$OUT"
@@ -64,12 +59,6 @@ echo "bench_trajectory: rev $LB_GIT_REV -> $OUT"
 "$IQ" --slots 20000 --json-out "$OUT/BENCH_iqswitch.json" \
   > "$OUT/iqswitch.log" 2>&1 \
   || { echo "bench_trajectory: iq_switch_throughput failed"; tail -20 "$OUT/iqswitch.log"; exit 1; }
-
-# lbserve saturation smoke: --guard fails this step if the event loop
-# underperforms the legacy thread-per-connection loop at 128 connections.
-"$SAT" --requests 1024 --guard --json-out "$OUT/BENCH_service.json" \
-  > "$OUT/service.log" 2>&1 \
-  || { echo "bench_trajectory: server_saturation failed"; tail -20 "$OUT/service.log"; exit 1; }
 
 # Kernel stepping perf-smoke: --guard makes this step fail if fast mode is
 # slower than naive on the highest-idle sweep or diverges from it at all.
@@ -117,7 +106,6 @@ PY
 }
 validate "$OUT/BENCH_arbiters.json"
 validate "$OUT/BENCH_iqswitch.json"
-validate "$OUT/BENCH_service.json"
 validate "$OUT/BENCH_kernel.json"
 validate "$OUT/BENCH_noc.json"
 validate "$OUT/BENCH_obs.json"

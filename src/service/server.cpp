@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -18,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/quantile.hpp"
 #include "service/protocol.hpp"
@@ -70,17 +72,21 @@ void bumpWatermark(std::atomic<std::int64_t>& watermark, obs::Gauge& gauge,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Streaming batch bookkeeping
+// Batch/sweep bookkeeping and the in-process collector
 // ---------------------------------------------------------------------------
 
-/// Shared between the dispatch thread that admits a `batch` request, the
-/// engine workers finishing its jobs, and the loop-side timeout handler.
+/// Shared between the dispatch thread that admits a `batch` or `sweep`
+/// request, the engine workers finishing its jobs, and the timeout handler.
 /// `mutex` orders them; completions are posted while holding it so frame
 /// `seq` numbers hit the wire monotonically.
 struct Server::BatchState {
   std::mutex mutex;
   RequestCtx ctx;
   std::vector<Scenario> scenarios;
+  /// `sweep`: each outcome is stored at its input index and the request is
+  /// answered with one collected frame instead of a stream.
+  bool collect = false;
+  std::vector<Json> results;
   /// Content hashes for the dedup hold (has_hash false when normalization
   /// failed — those items are submitted anyway and fail in-engine, exactly
   /// like a sequential run of the same scenario).
@@ -99,13 +105,41 @@ struct Server::BatchState {
   std::uint64_t seq = 0;      ///< next stream-frame sequence number
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
-  bool finished = false;  ///< summary posted (or the deadline fired)
+  bool finished = false;  ///< terminal frame posted (or the deadline fired)
   // pumpBatch re-entrancy: submitAsync may invoke its callback inline
   // (cache hit), which calls back into pumpBatch; the nested call just
   // marks `dirty` and the outer iteration picks the work up — bounded
   // stack depth even for an all-cached batch of thousands.
   bool pumping = false;
   bool dirty = false;
+
+  /// The request's terminal frame: the batch summary, or the sweep's
+  /// collected results (moved out, so build it once).
+  Json tail() {
+    Json response = Json::object();
+    response.set("ok", Json(true));
+    if (!collect) {
+      response.set("batch", makeBatchSummaryHeader(scenarios.size(),
+                                                   completed, errors));
+      return response;
+    }
+    Json array = Json::array();
+    for (Json& result : results) array.push(std::move(result));
+    response.set("results", std::move(array));
+    return response;
+  }
+};
+
+/// handleRequest's stand-in for the loop's slot: gathers the request's
+/// frames and deadline registration for the waiting caller.
+struct Server::Collector {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::string frames;
+  bool complete = false;  ///< the `last` completion arrived
+  Finish finish;
+  std::chrono::steady_clock::time_point deadline{};
+  std::function<void()> on_timeout;
 };
 
 void Server::recordSpan(const obs::TraceContext& trace, std::uint64_t span_id,
@@ -319,20 +353,6 @@ void Server::start() {
   serve_thread_ = std::thread([this] { serve(); });
 }
 
-void Server::pokeListener() {
-  // Unblock accept() by connecting to ourselves; shutdown() on the listen
-  // fd is not portable enough to rely on.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd >= 0) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port_);
-    ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    ::close(fd);
-  }
-}
-
 void Server::wakeLoop() {
   std::lock_guard<std::mutex> lock(completions_mutex_);
   if (wake_write_fd_ >= 0) {
@@ -342,7 +362,27 @@ void Server::wakeLoop() {
   }
 }
 
-void Server::postCompletion(Completion completion) {
+void Server::postCompletion(const RequestCtx& ctx, Completion completion) {
+  if (ctx.collector != nullptr) {
+    Collector& collector = *ctx.collector;
+    {
+      std::lock_guard<std::mutex> lock(collector.mutex);
+      if (completion.set_deadline) {
+        collector.deadline = completion.deadline;
+        collector.on_timeout = std::move(completion.on_timeout);
+      } else {
+        collector.frames += completion.frames;
+        if (completion.last) {
+          collector.complete = true;
+          collector.finish = std::move(completion.finish);
+        }
+      }
+    }
+    collector.cv.notify_all();
+    return;
+  }
+  completion.conn_id = ctx.conn_id;
+  completion.slot_id = ctx.slot_id;
   std::int64_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(completions_mutex_);
@@ -357,123 +397,111 @@ void Server::postCompletion(Completion completion) {
   bumpWatermark(completion_depth_max_, completion_depth_max_gauge_, depth);
 }
 
+void Server::registerDeadline(const RequestCtx& ctx,
+                              std::chrono::steady_clock::duration budget,
+                              std::function<void()> on_timeout) {
+  Completion registration;
+  registration.set_deadline = true;
+  registration.deadline = std::chrono::steady_clock::now() + budget;
+  registration.on_timeout = std::move(on_timeout);
+  postCompletion(ctx, std::move(registration));
+}
+
 void Server::stop() {
-  if (!stopping_.exchange(true)) {
-    if (options_.thread_per_connection)
-      pokeListener();
-    else
-      wakeLoop();
-  }
+  if (!stopping_.exchange(true)) wakeLoop();
   if (serve_thread_.joinable() &&
       serve_thread_.get_id() != std::this_thread::get_id())
     serve_thread_.join();
 }
 
-void Server::serve() {
-  if (options_.thread_per_connection)
-    serveThreaded();
-  else
-    serveEventLoop();
-}
-
 // ---------------------------------------------------------------------------
-// Verb dispatch (shared by both connection models)
+// Verb dispatch
 // ---------------------------------------------------------------------------
 
-const std::unordered_map<std::string, Server::VerbBinding>&
-Server::verbBindings() {
-  static const std::unordered_map<std::string, VerbBinding> bindings = {
-      {"run", {&Server::verbRun, &Server::asyncRun}},
-      {"sweep", {&Server::verbSweep, &Server::asyncSweep}},
-      {"batch", {&Server::verbBatch, &Server::asyncBatch}},
-      {"stats", {&Server::verbStats, nullptr}},
-      {"metrics", {&Server::verbMetrics, nullptr}},
-      {"trace", {&Server::verbTrace, nullptr}},
-      {"health", {&Server::verbHealth, nullptr}},
-      {"history", {&Server::verbHistory, nullptr}},
-      {"shutdown", {&Server::verbShutdown, nullptr}},
+const std::unordered_map<std::string, Server::Verb>& Server::verbBindings() {
+  static const std::unordered_map<std::string, Verb> bindings = {
+      {"run", &Server::onRun},         {"sweep", &Server::onBatch},
+      {"batch", &Server::onBatch},     {"stats", &Server::onStats},
+      {"metrics", &Server::onMetrics}, {"trace", &Server::onTrace},
+      {"health", &Server::onHealth},   {"history", &Server::onHistory},
+      {"shutdown", &Server::onShutdown},
   };
   return bindings;
 }
 
-Json Server::unknownVerbResponse(const std::string& verb,
-                                 const obs::TraceContext& root) {
+Json Server::protocolError(const std::string& message, RequestCtx& ctx) {
   ++protocol_errors_;
   protocol_errors_counter_.inc();
-  if (options_.recorder != nullptr)
-    options_.recorder->annotateTrace(root.trace_id, "server.protocol_error",
-                                     "unknown verb \"" + verb + "\"");
-  log_.warn("server.protocol_error",
-            {{"error", "unknown verb \"" + verb + "\""}, {"trace", root}});
-  Json response = errorResponse("unknown verb \"" + verb + "\"");
-  response.set("supported_verbs", protocolVerbsJson());
-  return response;
-}
-
-void Server::verbRun(const Json& request, RequestCtx& ctx,
-                     std::vector<Json>& out) {
-  const Scenario scenario = scenarioFromJson(request.at("scenario"));
-  out.push_back(outcomeResponse(engine_.run(scenario, ctx.root_ctx),
-                                ctx.root_ctx));
-}
-
-void Server::verbSweep(const Json& request, RequestCtx& ctx,
-                       std::vector<Json>& out) {
-  std::vector<Scenario> scenarios;
-  for (const Json& item : request.at("scenarios").asArray())
-    scenarios.push_back(scenarioFromJson(item));
-  Json results = Json::array();
-  for (const JobOutcome& outcome : engine_.sweep(scenarios, ctx.root_ctx))
-    results.push(outcomeResponse(outcome, ctx.root_ctx));
-  Json response = Json::object();
-  response.set("ok", Json(true)).set("results", std::move(results));
-  out.push_back(std::move(response));
-}
-
-void Server::verbBatch(const Json& request, RequestCtx& ctx,
-                       std::vector<Json>& out) {
-  // Synchronous batch (handleRequest / legacy connections): sequential
-  // runs, so completion order equals request order and seq == index.  The
-  // event loop uses asyncBatch instead, which interleaves jobs but streams
-  // per-result frames carrying the same members.
-  std::vector<Scenario> scenarios;
-  for (const Json& item : request.at("scenarios").asArray())
-    scenarios.push_back(scenarioFromJson(item));
-  if (scenarios.size() > options_.max_batch)
-    throw std::runtime_error(
-        "batch of " + std::to_string(scenarios.size()) +
-        " scenarios exceeds the server limit of " +
-        std::to_string(options_.max_batch));
-  const std::uint64_t n = scenarios.size();
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const JobOutcome outcome = engine_.run(scenarios[i], ctx.root_ctx);
-    outcome.status == JobStatus::kOk ? ++completed : ++errors;
-    Json frame = outcomeResponse(outcome, ctx.root_ctx);
-    frame.set("batch", makeBatchFrameHeader(i, i, n));
-    out.push_back(std::move(frame));
+  // A request that failed before minting ids (parse error) still gets a
+  // root span, keeping lb_server_request_micros observations and
+  // server.request spans 1:1 whenever tracing is on.
+  if (ctx.tracing && !ctx.root_ctx.valid()) {
+    ctx.root_ctx.trace_id =
+        ctx.client_ctx.valid() ? ctx.client_ctx.trace_id : obs::mintTraceId();
+    ctx.root_ctx.span_id = obs::mintTraceId();
   }
-  Json summary = Json::object();
-  summary.set("ok", Json(true))
-      .set("batch", makeBatchSummaryHeader(n, completed, errors));
-  out.push_back(std::move(summary));
+  if (options_.recorder != nullptr)
+    options_.recorder->annotateTrace(ctx.root_ctx.trace_id,
+                                     "server.protocol_error", message);
+  log_.warn("server.protocol_error",
+            {{"error", message}, {"trace", ctx.root_ctx}});
+  return errorResponse(message);
 }
 
-void Server::verbStats(const Json&, RequestCtx&, std::vector<Json>& out) {
+void Server::dispatch(const std::string& line, RequestCtx& ctx) {
+  ++requests_;
+  obs::FlightRecorder* recorder = options_.recorder;
+  ctx.tracing = recorder != nullptr && recorder->enabled();
+  try {
+    const Json request = Json::parse(line);
+    ctx.client_ctx = traceContextFromRequest(request);
+    ctx.root_ctx.trace_id = ctx.client_ctx.valid() ? ctx.client_ctx.trace_id
+                            : ctx.tracing          ? obs::mintTraceId()
+                                                   : 0;
+    if (ctx.tracing) ctx.root_ctx.span_id = obs::mintTraceId();
+    const auto parsed = std::chrono::steady_clock::now();
+    stage_parse_.observe(elapsedMicros(ctx.started, parsed));
+    recordSpan(ctx.root_ctx, obs::mintTraceId(), ctx.root_ctx.span_id,
+               "server.parse", "", ctx.started, parsed);
+    const std::string& verb = request.at("verb").asString();
+    const auto& bindings = verbBindings();
+    const auto binding = bindings.find(verb);
+    if (binding != bindings.end()) ctx.verb_label = verb;
+    requests_family_.withLabels({{"verb", ctx.verb_label}}).inc();
+    if (ctx.collector == nullptr) {
+      // Feed the `health` verb's connection table: the verb this
+      // connection most recently issued plus the trace id of each
+      // in-flight slot (erased by the loop when the slot completes).
+      std::lock_guard<std::mutex> lock(introspect_mutex_);
+      conn_last_verb_[ctx.conn_id] = ctx.verb_label;
+      inflight_traces_[{ctx.conn_id, ctx.slot_id}] = ctx.root_ctx.trace_id;
+    }
+    if (binding == bindings.end()) {
+      Json response = protocolError("unknown verb \"" + verb + "\"", ctx);
+      response.set("supported_verbs", protocolVerbsJson());
+      respondLast(ctx, std::move(response));
+      return;
+    }
+    (this->*(binding->second))(request, ctx);
+  } catch (const std::exception& e) {
+    respondLast(ctx, protocolError(e.what(), ctx));
+  }
+}
+
+void Server::onStats(const Json&, const RequestCtx& ctx) {
   Json response = Json::object();
   response.set("ok", Json(true)).set("stats", statsJson());
-  out.push_back(std::move(response));
+  respondLast(ctx, std::move(response));
 }
 
-void Server::verbMetrics(const Json&, RequestCtx&, std::vector<Json>& out) {
+void Server::onMetrics(const Json&, const RequestCtx& ctx) {
   Json response = Json::object();
   response.set("ok", Json(true))
       .set("metrics", Json(engine_.metricsRegistry().renderPrometheus()));
-  out.push_back(std::move(response));
+  respondLast(ctx, std::move(response));
 }
 
-void Server::verbTrace(const Json&, RequestCtx&, std::vector<Json>& out) {
+void Server::onTrace(const Json&, const RequestCtx& ctx) {
   obs::FlightRecorder* recorder = options_.recorder;
   Json response = Json::object();
   if (recorder == nullptr) {
@@ -492,15 +520,13 @@ void Server::verbTrace(const Json&, RequestCtx&, std::vector<Json>& out) {
              Json(recorder->droppedSpans() + recorder->droppedEvents()))
         .set("chrome_trace", Json(dump.str()));
   }
-  out.push_back(std::move(response));
+  respondLast(ctx, std::move(response));
 }
 
-void Server::verbHealth(const Json&, RequestCtx&, std::vector<Json>& out) {
+void Server::onHealth(const Json&, const RequestCtx& ctx) {
   const auto now = std::chrono::steady_clock::now();
   Json health = Json::object();
-  health.set("mode", Json(options_.thread_per_connection
-                              ? std::string("thread-per-connection")
-                              : std::string("event-loop")));
+  health.set("mode", Json("event-loop"));
   health.set("uptime_ms",
              Json(static_cast<std::uint64_t>(
                  std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -571,7 +597,7 @@ void Server::verbHealth(const Json&, RequestCtx&, std::vector<Json>& out) {
 
   Json response = Json::object();
   response.set("ok", Json(true)).set("health", std::move(health));
-  out.push_back(std::move(response));
+  respondLast(ctx, std::move(response));
 }
 
 Json Server::connectionsJson() {
@@ -598,14 +624,13 @@ Json Server::connectionsJson() {
   return connections;
 }
 
-void Server::verbHistory(const Json& request, RequestCtx&,
-                         std::vector<Json>& out) {
+void Server::onHistory(const Json& request, const RequestCtx& ctx) {
   Json response = Json::object();
   if (history_ == nullptr) {
     response.set("ok", Json(false))
         .set("error", Json("history is disabled (start lbd with "
                            "--history-interval-ms N)"));
-    out.push_back(std::move(response));
+    respondLast(ctx, std::move(response));
     return;
   }
   std::size_t last = 0;
@@ -647,177 +672,55 @@ void Server::verbHistory(const Json& request, RequestCtx&,
            Json(static_cast<std::uint64_t>(history_->options().capacity)))
       .set("samples", std::move(samples_json));
   response.set("ok", Json(true)).set("history", std::move(history));
-  out.push_back(std::move(response));
+  respondLast(ctx, std::move(response));
 }
 
-void Server::verbShutdown(const Json&, RequestCtx& ctx,
-                          std::vector<Json>& out) {
-  if (!stopping_.exchange(true)) {
-    if (options_.thread_per_connection)
-      pokeListener();
-    else
-      wakeLoop();
-  }
+void Server::onShutdown(const Json&, const RequestCtx& ctx) {
+  if (!stopping_.exchange(true)) wakeLoop();
   log_.debug("server.shutdown", {{"trace", ctx.root_ctx}});
   Json response = Json::object();
   response.set("ok", Json(true)).set("stopping", Json(true));
-  out.push_back(std::move(response));
+  respondLast(ctx, std::move(response), /*shutdown=*/true);
 }
 
 std::string Server::handleRequest(const std::string& line,
                                   obs::TraceContext* root_out) {
-  const auto started = std::chrono::steady_clock::now();
-  ++requests_;
-  obs::FlightRecorder* recorder = options_.recorder;
-  const bool tracing = recorder != nullptr && recorder->enabled();
   RequestCtx ctx;
-  ctx.tracing = tracing;
-  ctx.started = started;
-  std::vector<Json> frames;
-  try {
-    const Json request = Json::parse(line);
-    ctx.client_ctx = traceContextFromRequest(request);
-    ctx.root_ctx.trace_id = ctx.client_ctx.valid() ? ctx.client_ctx.trace_id
-                            : tracing              ? obs::mintTraceId()
-                                                   : 0;
-    if (tracing) ctx.root_ctx.span_id = obs::mintTraceId();
-    const auto parsed = std::chrono::steady_clock::now();
-    stage_parse_.observe(elapsedMicros(started, parsed));
-    recordSpan(ctx.root_ctx, obs::mintTraceId(), ctx.root_ctx.span_id,
-               "server.parse", "", started, parsed);
-    const std::string& verb = request.at("verb").asString();
-    const auto& bindings = verbBindings();
-    const auto binding = bindings.find(verb);
-    if (binding != bindings.end()) ctx.verb_label = verb;
-    requests_family_.withLabels({{"verb", ctx.verb_label}}).inc();
-    if (binding != bindings.end()) {
-      (this->*(binding->second.sync))(request, ctx, frames);
-    } else {
-      frames.push_back(unknownVerbResponse(verb, ctx.root_ctx));
+  ctx.started = std::chrono::steady_clock::now();
+  ctx.collector = std::make_shared<Collector>();
+  dispatch(line, ctx);
+
+  Collector& collector = *ctx.collector;
+  std::unique_lock<std::mutex> lock(collector.mutex);
+  while (!collector.complete) {
+    if (!collector.on_timeout) {
+      collector.cv.wait(lock);
+      continue;
     }
-  } catch (const std::exception& e) {
-    ++protocol_errors_;
-    protocol_errors_counter_.inc();
-    // A request that failed before minting ids (parse error) still gets a
-    // root span, keeping lb_server_request_micros observations and
-    // server.request spans 1:1 whenever tracing is on.
-    if (tracing && !ctx.root_ctx.valid()) {
-      ctx.root_ctx.trace_id =
-          ctx.client_ctx.valid() ? ctx.client_ctx.trace_id : obs::mintTraceId();
-      ctx.root_ctx.span_id = obs::mintTraceId();
-    }
-    if (recorder != nullptr)
-      options_.recorder->annotateTrace(ctx.root_ctx.trace_id,
-                                       "server.protocol_error", e.what());
-    log_.warn("server.protocol_error",
-              {{"error", e.what()}, {"trace", ctx.root_ctx}});
-    frames.clear();
-    frames.push_back(errorResponse(e.what()));
+    if (collector.cv.wait_until(lock, collector.deadline) !=
+        std::cv_status::timeout)
+      continue;
+    // The deadline passed: fire it as the loop's fireDeadlines does.  The
+    // handler posts back into this collector, so it runs unlocked.
+    auto on_timeout = std::exchange(collector.on_timeout, nullptr);
+    lock.unlock();
+    on_timeout();
+    lock.lock();
   }
-  std::string wire;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    stampProtocolVersion(frames[i]);
-    // Echo the trace identity when the client sent one or the recorder
-    // minted one; requests with neither keep byte-identical responses (the
-    // goldens in fuzz_codec_test pin them).
-    if (ctx.client_ctx.valid() || ctx.tracing)
-      stampTraceContext(frames[i], ctx.root_ctx);
-    if (i != 0) wire += '\n';
-    wire += frames[i].dump();
-  }
-  const auto finished = std::chrono::steady_clock::now();
-  const double total_micros = elapsedMicros(started, finished);
-  request_micros_family_.withLabels({{"verb", ctx.verb_label}})
-      .observe(total_micros);
-  recordLatency(total_micros);
-  noteSlowRequest(ctx.verb_label, total_micros, ctx.root_ctx);
-  recordSpan(ctx.root_ctx, ctx.root_ctx.span_id, ctx.client_ctx.span_id,
-             "server.request", ctx.verb_label, started, finished);
+  // The deadline handler captures the request's state, which in turn holds
+  // this collector: drop it to break the cycle.
+  collector.on_timeout = nullptr;
+  std::string wire = std::move(collector.frames);
+  const Finish finish = std::move(collector.finish);
+  lock.unlock();
+  if (!wire.empty()) wire.pop_back();  // frames joined with '\n'
+  applyFinish(finish);
   if (root_out != nullptr) *root_out = ctx.root_ctx;
   return wire;
 }
 
 // ---------------------------------------------------------------------------
-// Legacy thread-per-connection path
-// ---------------------------------------------------------------------------
-
-void Server::serveThreaded() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (stopping_.load()) {
-      if (fd >= 0) ::close(fd);
-      break;
-    }
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener broken; shut down
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_threads_.emplace_back([this, fd] { handleConnection(fd); });
-  }
-  std::lock_guard<std::mutex> lock(threads_mutex_);
-  for (std::thread& thread : connection_threads_)
-    if (thread.joinable()) thread.join();
-  connection_threads_.clear();
-}
-
-void Server::handleConnection(int fd) {
-  log_.debug("server.conn_open", {{"fd", std::int64_t{fd}}});
-  std::string buffer;
-  // server.read spans cover the wait for each request's bytes: from the
-  // moment this handler was ready for a new request until its full line
-  // arrived (near-zero for pipelined lines already buffered).
-  auto read_started = std::chrono::steady_clock::now();
-  for (;;) {
-    const std::size_t newline = buffer.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      const auto read_finished = std::chrono::steady_clock::now();
-      stage_read_.observe(elapsedMicros(read_started, read_finished));
-      obs::TraceContext root;
-      const std::string response = handleRequest(line, &root) + "\n";
-      recordSpan(root, obs::mintTraceId(), root.span_id, "server.read", "",
-                 read_started, read_finished);
-      // No deadline on the response write (loopback sends are bounded by
-      // the kernel buffer), but fault injection and MSG_NOSIGNAL apply: a
-      // peer that vanished mid-frame surfaces as kError, never a SIGPIPE.
-      const auto write_started = std::chrono::steady_clock::now();
-      const net::IoStatus write_status =
-          net::sendAll(fd, response, std::nullopt, options_.fault);
-      const auto write_finished = std::chrono::steady_clock::now();
-      stage_write_.observe(elapsedMicros(write_started, write_finished));
-      recordSpan(root, obs::mintTraceId(), root.span_id, "server.write",
-                 write_status == net::IoStatus::kOk ? "" : "failed",
-                 write_started, write_finished);
-      if (write_status != net::IoStatus::kOk) {
-        log_.debug("server.conn_close",
-                   {{"fd", std::int64_t{fd}}, {"reason", "write failed"}});
-        ::close(fd);
-        return;
-      }
-      if (stopping_.load()) break;  // shutdown verb answered on this line
-      read_started = std::chrono::steady_clock::now();
-      continue;
-    }
-    if (buffer.size() > kMaxLineBytes) break;
-    // Per-connection idle read deadline: a silent peer is disconnected so
-    // it cannot pin this handler thread forever.
-    const net::IoDeadline deadline = net::deadlineAfter(options_.read_deadline);
-    const net::IoStatus status =
-        net::recvSome(fd, buffer, 4096, deadline, options_.fault);
-    if (status != net::IoStatus::kOk) break;  // EOF, deadline, or error
-  }
-  log_.debug("server.conn_close", {{"fd", std::int64_t{fd}}});
-  ::close(fd);
-}
-
-// ---------------------------------------------------------------------------
-// Event-loop path: dispatch side
+// Responses and job verbs
 // ---------------------------------------------------------------------------
 
 std::string Server::wireFrame(Json response, const RequestCtx& ctx) {
@@ -844,250 +747,88 @@ void Server::applyFinish(const Finish& finish) {
   request_micros_family_.withLabels({{"verb", finish.verb_label}})
       .observe(total_micros);
   recordLatency(total_micros);
-  noteSlowRequest(finish.verb_label, total_micros, finish.root_ctx);
+  // Slow-request exemplar (see ServerOptions::slow_request_us).
+  std::uint64_t threshold = options_.slow_request_default_us;
+  const auto it = options_.slow_request_us.find(finish.verb_label);
+  if (it != options_.slow_request_us.end()) threshold = it->second;
+  if (threshold != 0 && total_micros > static_cast<double>(threshold)) {
+    slow_requests_family_.withLabels({{"verb", finish.verb_label}}).inc();
+    if (options_.recorder != nullptr)
+      options_.recorder->annotateTrace(
+          finish.root_ctx.trace_id, "server.slow_request",
+          finish.verb_label + " took " +
+              std::to_string(static_cast<std::uint64_t>(total_micros)) +
+              "us (threshold " + std::to_string(threshold) + "us)");
+  }
   recordSpan(finish.root_ctx, finish.root_ctx.span_id,
              finish.client_ctx.span_id, "server.request", finish.verb_label,
              finish.started, finished);
 }
 
-void Server::noteSlowRequest(const std::string& verb_label,
-                             double total_micros,
-                             const obs::TraceContext& root) {
-  std::uint64_t threshold = options_.slow_request_default_us;
-  const auto it = options_.slow_request_us.find(verb_label);
-  if (it != options_.slow_request_us.end()) threshold = it->second;
-  if (threshold == 0 || total_micros <= static_cast<double>(threshold))
-    return;
-  slow_requests_family_.withLabels({{"verb", verb_label}}).inc();
-  if (options_.recorder != nullptr)
-    options_.recorder->annotateTrace(
-        root.trace_id, "server.slow_request",
-        verb_label + " took " +
-            std::to_string(static_cast<std::uint64_t>(total_micros)) +
-            "us (threshold " + std::to_string(threshold) + "us)");
-}
-
 void Server::respondLast(const RequestCtx& ctx, Json response, bool shutdown) {
   Completion completion;
-  completion.conn_id = ctx.conn_id;
-  completion.slot_id = ctx.slot_id;
   completion.frames = wireFrame(std::move(response), ctx);
   completion.last = true;
   completion.shutdown = shutdown;
   completion.finish = makeFinish(ctx);
-  postCompletion(std::move(completion));
+  postCompletion(ctx, std::move(completion));
 }
 
 void Server::dispatchLine(std::uint64_t conn_id, std::uint64_t slot_id,
                           std::string line,
                           std::chrono::steady_clock::time_point read_started,
                           std::chrono::steady_clock::time_point read_finished) {
-  const auto started = std::chrono::steady_clock::now();
-  // `read_finished` is the loop's post timestamp, so this histogram is the
-  // dispatch pool's pickup delay (queueing, not parsing).
-  wakeup_to_dispatch_micros_.observe(elapsedMicros(read_finished, started));
-  dispatch_depth_gauge_.set(
-      dispatch_depth_.fetch_sub(1, std::memory_order_relaxed) - 1);
-  ++requests_;
-  stage_read_.observe(elapsedMicros(read_started, read_finished));
-  obs::FlightRecorder* recorder = options_.recorder;
-  const bool tracing = recorder != nullptr && recorder->enabled();
   RequestCtx ctx;
   ctx.conn_id = conn_id;
   ctx.slot_id = slot_id;
-  ctx.tracing = tracing;
-  ctx.started = started;
-  try {
-    const Json request = Json::parse(line);
-    ctx.client_ctx = traceContextFromRequest(request);
-    ctx.root_ctx.trace_id = ctx.client_ctx.valid() ? ctx.client_ctx.trace_id
-                            : tracing              ? obs::mintTraceId()
-                                                   : 0;
-    if (tracing) ctx.root_ctx.span_id = obs::mintTraceId();
-    const auto parsed = std::chrono::steady_clock::now();
-    stage_parse_.observe(elapsedMicros(started, parsed));
-    recordSpan(ctx.root_ctx, obs::mintTraceId(), ctx.root_ctx.span_id,
-               "server.parse", "", started, parsed);
-    const std::string& verb = request.at("verb").asString();
-    const auto& bindings = verbBindings();
-    const auto binding = bindings.find(verb);
-    if (binding != bindings.end()) ctx.verb_label = verb;
-    requests_family_.withLabels({{"verb", ctx.verb_label}}).inc();
-    {
-      // Feed the `health` verb's connection table: the verb this
-      // connection most recently issued plus the trace id of each
-      // in-flight slot (erased by the loop when the slot completes).
-      std::lock_guard<std::mutex> lock(introspect_mutex_);
-      conn_last_verb_[conn_id] = ctx.verb_label;
-      inflight_traces_[{conn_id, slot_id}] = ctx.root_ctx.trace_id;
-    }
-    if (binding == bindings.end()) {
-      respondLast(ctx, unknownVerbResponse(verb, ctx.root_ctx));
-    } else if (binding->second.async != nullptr) {
-      // Job verbs: submit and return.  The engine's completion (or the
-      // loop-side deadline) posts the response; this dispatch thread never
-      // blocks on simulation.
-      (this->*(binding->second.async))(request, ctx);
-    } else {
-      std::vector<Json> frames;
-      (this->*(binding->second.sync))(request, ctx, frames);
-      Completion completion;
-      completion.conn_id = ctx.conn_id;
-      completion.slot_id = ctx.slot_id;
-      for (Json& frame : frames)
-        completion.frames += wireFrame(std::move(frame), ctx);
-      completion.last = true;
-      completion.shutdown = ctx.verb_label == "shutdown";
-      completion.finish = makeFinish(ctx);
-      postCompletion(std::move(completion));
-    }
-  } catch (const std::exception& e) {
-    ++protocol_errors_;
-    protocol_errors_counter_.inc();
-    if (tracing && !ctx.root_ctx.valid()) {
-      ctx.root_ctx.trace_id =
-          ctx.client_ctx.valid() ? ctx.client_ctx.trace_id : obs::mintTraceId();
-      ctx.root_ctx.span_id = obs::mintTraceId();
-    }
-    if (recorder != nullptr)
-      recorder->annotateTrace(ctx.root_ctx.trace_id, "server.protocol_error",
-                              e.what());
-    log_.warn("server.protocol_error",
-              {{"error", e.what()}, {"trace", ctx.root_ctx}});
-    respondLast(ctx, errorResponse(e.what()));
-  }
+  ctx.started = std::chrono::steady_clock::now();
+  // `read_finished` is the loop's post timestamp, so this histogram is the
+  // dispatch pool's pickup delay (queueing, not parsing).
+  wakeup_to_dispatch_micros_.observe(elapsedMicros(read_finished, ctx.started));
+  dispatch_depth_gauge_.set(
+      dispatch_depth_.fetch_sub(1, std::memory_order_relaxed) - 1);
+  stage_read_.observe(elapsedMicros(read_started, read_finished));
+  dispatch(line, ctx);
   recordSpan(ctx.root_ctx, obs::mintTraceId(), ctx.root_ctx.span_id,
              "server.read", "", read_started, read_finished);
 }
 
-void Server::asyncRun(const Json& request, const RequestCtx& ctx) {
+void Server::onRun(const Json& request, const RequestCtx& ctx) {
   const Scenario scenario = scenarioFromJson(request.at("scenario"));
-  // The loop owns the wait budget the blocking path spent in await():
-  // register the slot deadline first so it is in place before any worker
-  // can finish the job.  `job_done` arbitrates the completion-vs-deadline
-  // race: the worker sets it before posting, and a deadline that observes
-  // it answers "spurious" so the real response is never lost.
-  auto job_done = std::make_shared<std::atomic<bool>>(false);
-  const RequestCtx ctx_copy = ctx;
-  Completion reg;
-  reg.conn_id = ctx.conn_id;
-  reg.slot_id = ctx.slot_id;
-  reg.set_deadline = true;
-  reg.deadline = std::chrono::steady_clock::now() + engine_.options().timeout;
-  reg.on_timeout = [this, ctx_copy,
-                    job_done]() -> std::pair<std::string, Finish> {
-    if (job_done->load()) return {std::string(), Finish{}};
-    Json response = outcomeResponse(engine_.timeoutOutcome(),
-                                    ctx_copy.root_ctx);
-    return {wireFrame(std::move(response), ctx_copy), makeFinish(ctx_copy)};
-  };
-  postCompletion(std::move(reg));
+  // Register the slot deadline first so it is in place before any worker
+  // can finish the job.  `answered` settles the completion-vs-deadline
+  // race: whichever side claims it first posts the one response.
+  auto answered = std::make_shared<std::atomic<bool>>(false);
+  registerDeadline(ctx, engine_.options().timeout, [this, ctx, answered] {
+    if (answered->exchange(true)) return;
+    respondLast(ctx, outcomeResponse(engine_.timeoutOutcome(), ctx.root_ctx));
+  });
   engine_.submitAsync(scenario, ctx.root_ctx,
-                      [this, ctx_copy, job_done](JobOutcome outcome) {
-                        job_done->store(true);
-                        respondLast(ctx_copy,
-                                    outcomeResponse(outcome,
-                                                    ctx_copy.root_ctx));
+                      [this, ctx, answered](JobOutcome outcome) {
+                        if (answered->exchange(true)) return;
+                        respondLast(ctx,
+                                    outcomeResponse(outcome, ctx.root_ctx));
                       });
 }
 
-void Server::asyncSweep(const Json& request, const RequestCtx& ctx) {
-  std::vector<Scenario> scenarios;
-  for (const Json& item : request.at("scenarios").asArray())
-    scenarios.push_back(scenarioFromJson(item));
-
-  struct SweepState {
-    std::mutex mutex;
-    std::vector<JobOutcome> outcomes;
-    std::vector<char> done;
-    std::size_t remaining = 0;
-    bool finished = false;  ///< response posted (or the deadline fired)
-  };
-  const RequestCtx ctx_copy = ctx;
-  auto build = [this, ctx_copy](const SweepState& state) -> Json {
-    Json results = Json::array();
-    for (const JobOutcome& outcome : state.outcomes)
-      results.push(outcomeResponse(outcome, ctx_copy.root_ctx));
-    Json response = Json::object();
-    response.set("ok", Json(true)).set("results", std::move(results));
-    return response;
-  };
-
-  if (scenarios.empty()) {
-    SweepState empty;
-    respondLast(ctx, build(empty));
-    return;
-  }
-
-  auto state = std::make_shared<SweepState>();
-  state->outcomes.resize(scenarios.size());
-  state->done.assign(scenarios.size(), 0);
-  state->remaining = scenarios.size();
-
-  // The blocking path awaits each future with a full per-job budget, so
-  // the worst-case wall clock is timeout x N — mirror that here.
-  Completion reg;
-  reg.conn_id = ctx.conn_id;
-  reg.slot_id = ctx.slot_id;
-  reg.set_deadline = true;
-  reg.deadline = std::chrono::steady_clock::now() +
-                 engine_.options().timeout *
-                     static_cast<std::int64_t>(scenarios.size());
-  reg.on_timeout = [this, ctx_copy, state,
-                    build]() -> std::pair<std::string, Finish> {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->finished) return {std::string(), Finish{}};
-    state->finished = true;
-    for (std::size_t i = 0; i < state->outcomes.size(); ++i)
-      if (!state->done[i]) state->outcomes[i] = engine_.timeoutOutcome();
-    return {wireFrame(build(*state), ctx_copy), makeFinish(ctx_copy)};
-  };
-  postCompletion(std::move(reg));
-
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    engine_.submitAsync(
-        scenarios[i], ctx.root_ctx,
-        [this, state, ctx_copy, build, i](JobOutcome outcome) {
-          bool respond_now = false;
-          {
-            std::lock_guard<std::mutex> lock(state->mutex);
-            if (state->finished) return;  // deadline already answered
-            if (!state->done[i]) {
-              state->done[i] = 1;
-              state->outcomes[i] = std::move(outcome);
-              --state->remaining;
-            }
-            if (state->remaining == 0) {
-              state->finished = true;
-              respond_now = true;
-            }
-          }
-          if (respond_now) respondLast(ctx_copy, build(*state));
-        });
-  }
-}
-
-void Server::asyncBatch(const Json& request, const RequestCtx& ctx) {
-  std::vector<Scenario> scenarios;
-  for (const Json& item : request.at("scenarios").asArray())
-    scenarios.push_back(scenarioFromJson(item));
-  if (scenarios.size() > options_.max_batch)
-    throw std::runtime_error(
-        "batch of " + std::to_string(scenarios.size()) +
-        " scenarios exceeds the server limit of " +
-        std::to_string(options_.max_batch));
-
-  if (scenarios.empty()) {
-    Json summary = Json::object();
-    summary.set("ok", Json(true)).set("batch", makeBatchSummaryHeader(0, 0, 0));
-    respondLast(ctx, std::move(summary));
-    return;
-  }
-
+void Server::onBatch(const Json& request, const RequestCtx& ctx) {
   auto state = std::make_shared<BatchState>();
   state->ctx = ctx;
-  state->scenarios = std::move(scenarios);
+  state->collect = ctx.verb_label == "sweep";
+  for (const Json& item : request.at("scenarios").asArray())
+    state->scenarios.push_back(scenarioFromJson(item));
   const std::size_t n = state->scenarios.size();
+  if (n > options_.max_batch)
+    throw std::runtime_error(
+        ctx.verb_label + " of " + std::to_string(n) +
+        " scenarios exceeds the server limit of " +
+        std::to_string(options_.max_batch));
+  if (n == 0) {
+    respondLast(ctx, state->tail());
+    return;
+  }
+
+  if (state->collect) state->results.resize(n);
   state->hashes.assign(n, 0);
   state->has_hash.assign(n, 0);
   state->item_done.assign(n, 0);
@@ -1111,15 +852,9 @@ void Server::asyncBatch(const Json& request, const RequestCtx& ctx) {
   }
   state->window = std::max<std::size_t>(1, window);
 
-  Completion reg;
-  reg.conn_id = ctx.conn_id;
-  reg.slot_id = ctx.slot_id;
-  reg.set_deadline = true;
-  reg.deadline = std::chrono::steady_clock::now() +
-                 engine_.options().timeout * static_cast<std::int64_t>(n);
-  reg.on_timeout = [this, state]() { return timeoutBatch(state); };
-  postCompletion(std::move(reg));
-
+  // Each scenario gets a full per-job budget: the deadline is timeout x N.
+  registerDeadline(ctx, engine_.options().timeout * static_cast<std::int64_t>(n),
+                   [this, state]() { return timeoutBatch(state); });
   pumpBatch(state);
 }
 
@@ -1173,19 +908,17 @@ void Server::finishBatchItem(const std::shared_ptr<BatchState>& state,
       state->item_done[index] = 1;
       --state->remaining;
       outcome.status == JobStatus::kOk ? ++state->completed : ++state->errors;
-      const std::uint64_t n = state->scenarios.size();
-      Json frame = outcomeResponse(outcome, state->ctx.root_ctx);
-      frame.set("batch", makeBatchFrameHeader(index, state->seq++, n));
+      Json response = outcomeResponse(outcome, state->ctx.root_ctx);
       Completion completion;
-      completion.conn_id = state->ctx.conn_id;
-      completion.slot_id = state->ctx.slot_id;
-      completion.frames = wireFrame(std::move(frame), state->ctx);
+      if (state->collect) {
+        state->results[index] = std::move(response);
+      } else {
+        response.set("batch", makeBatchFrameHeader(index, state->seq++,
+                                                   state->scenarios.size()));
+        completion.frames = wireFrame(std::move(response), state->ctx);
+      }
       if (state->remaining == 0) {
-        Json summary = Json::object();
-        summary.set("ok", Json(true))
-            .set("batch", makeBatchSummaryHeader(n, state->completed,
-                                                 state->errors));
-        completion.frames += wireFrame(std::move(summary), state->ctx);
+        completion.frames += wireFrame(state->tail(), state->ctx);
         completion.last = true;
         completion.finish = makeFinish(state->ctx);
         state->finished = true;
@@ -1193,40 +926,42 @@ void Server::finishBatchItem(const std::shared_ptr<BatchState>& state,
       // Posted under the state mutex so stream frames enter the loop's
       // completion queue in `seq` order (lock order is always state ->
       // completions, never the reverse).
-      postCompletion(std::move(completion));
+      if (!completion.frames.empty())
+        postCompletion(state->ctx, std::move(completion));
     }
   }
   pumpBatch(state);
 }
 
-std::pair<std::string, Server::Finish> Server::timeoutBatch(
-    const std::shared_ptr<BatchState>& state) {
+void Server::timeoutBatch(const std::shared_ptr<BatchState>& state) {
   std::lock_guard<std::mutex> lock(state->mutex);
-  if (state->finished) return {std::string(), Finish{}};
+  if (state->finished) return;
   state->finished = true;
-  const std::uint64_t n = state->scenarios.size();
-  std::string frames;
+  Completion completion;
   for (std::size_t i = 0; i < state->scenarios.size(); ++i) {
     if (state->item_done[i]) continue;
     ++state->errors;
-    Json frame = outcomeResponse(engine_.timeoutOutcome(),
-                                 state->ctx.root_ctx);
-    frame.set("batch", makeBatchFrameHeader(i, state->seq++, n));
-    frames += wireFrame(std::move(frame), state->ctx);
+    Json response = outcomeResponse(engine_.timeoutOutcome(),
+                                    state->ctx.root_ctx);
+    if (state->collect) {
+      state->results[i] = std::move(response);
+      continue;
+    }
+    response.set("batch", makeBatchFrameHeader(i, state->seq++,
+                                               state->scenarios.size()));
+    completion.frames += wireFrame(std::move(response), state->ctx);
   }
-  Json summary = Json::object();
-  summary.set("ok", Json(true))
-      .set("batch",
-           makeBatchSummaryHeader(n, state->completed, state->errors));
-  frames += wireFrame(std::move(summary), state->ctx);
-  return {std::move(frames), makeFinish(state->ctx)};
+  completion.frames += wireFrame(state->tail(), state->ctx);
+  completion.last = true;
+  completion.finish = makeFinish(state->ctx);
+  postCompletion(state->ctx, std::move(completion));
 }
 
 // ---------------------------------------------------------------------------
-// Event-loop path: the loop itself
+// The event loop
 // ---------------------------------------------------------------------------
 
-void Server::serveEventLoop() {
+void Server::serve() {
   if (dispatch_pool_ == nullptr) {
     std::size_t threads = options_.dispatch_threads;
     if (threads == 0) {
@@ -1245,11 +980,10 @@ void Server::serveEventLoop() {
   struct Slot {
     std::uint64_t id = 0;
     std::string frames;      ///< wire bytes not yet promoted to the conn
-    bool complete = false;   ///< final frames arrived (or synthesized)
-    bool timed_out = false;  ///< deadline answered; drop the real completion
+    bool complete = false;   ///< final frames arrived
     bool has_deadline = false;
     Clock::time_point deadline{};
-    std::function<std::pair<std::string, Finish>()> on_timeout;
+    std::function<void()> on_timeout;
     obs::TraceContext root;  ///< for the server.write span
   };
   /// One queued server.write measurement: fires when flushed_total passes
@@ -1277,12 +1011,12 @@ void Server::serveEventLoop() {
   };
   /// A request whose connection died before its completion arrived.  The
   /// Finish must still be applied exactly once (metrics/span reconcile), so
-  /// the entry absorbs the eventual real completion — or its deadline.
+  /// the entry waits for the request's one `last` completion: the real
+  /// answer or the one its deadline posts.
   struct OrphanSlot {
-    bool finished = false;  ///< deadline already applied the Finish
     bool has_deadline = false;
     Clock::time_point deadline{};
-    std::function<std::pair<std::string, Finish>()> on_timeout;
+    std::function<void()> on_timeout;
   };
 
   std::unordered_map<std::uint64_t, Conn> conns;
@@ -1374,8 +1108,8 @@ void Server::serveEventLoop() {
           conn.read_started = now;
           continue;
         }
-        // Drain semantics match the legacy loop: requests pipelined after
-        // a shutdown was answered are dropped, not executed.
+        // Requests pipelined after a shutdown was answered are dropped,
+        // not executed.
         if (stopping_.load()) continue;
         const auto read_started = conn.read_started;
         conn.read_started = now;
@@ -1440,7 +1174,7 @@ void Server::serveEventLoop() {
           continue;
         }
         if (completion.last) {
-          if (!orphan.finished) applyFinish(completion.finish);
+          applyFinish(completion.finish);
           orphans.erase(orphan_it);
         }
         continue;  // stream frames to a dead conn are dropped
@@ -1452,14 +1186,13 @@ void Server::serveEventLoop() {
           slot = &candidate;
           break;
         }
-      if (slot == nullptr) continue;  // timed out and already retired
+      if (slot == nullptr) continue;  // slot long retired
       if (completion.set_deadline) {
         slot->has_deadline = true;
         slot->deadline = completion.deadline;
         slot->on_timeout = std::move(completion.on_timeout);
         continue;
       }
-      if (slot->timed_out) continue;  // synthesized response already queued
       slot->frames += completion.frames;
       if (completion.last) {
         slot->complete = true;
@@ -1477,39 +1210,24 @@ void Server::serveEventLoop() {
     for (auto& entry : conns) {
       Conn& conn = entry.second;
       if (conn.dead) continue;
-      bool fired = false;
+      // A due handler posts the timeout answer as an ordinary completion
+      // (or nothing, when the real answer was posted first).
       for (Slot& slot : conn.slots) {
         if (!slot.has_deadline || slot.complete || now < slot.deadline)
           continue;
         slot.has_deadline = false;
-        std::pair<std::string, Finish> synthesized;
-        if (slot.on_timeout) synthesized = slot.on_timeout();
-        // Empty frames + invalid Finish: the real completion raced in and
-        // is already queued — treat the deadline as spurious.
-        if (synthesized.first.empty() && !synthesized.second.valid) continue;
-        slot.frames += synthesized.first;
-        slot.complete = true;
-        slot.timed_out = true;
-        slot.root = synthesized.second.root_ctx;
-        applyFinish(synthesized.second);
-        fired = true;
+        if (slot.on_timeout) std::exchange(slot.on_timeout, nullptr)();
       }
-      if (fired) promote(conn);
-      if (!conn.dead && options_.read_deadline.count() > 0 &&
-          conn.slots.empty() && conn.woff == conn.wbuf.size() &&
+      if (options_.read_deadline.count() > 0 && conn.slots.empty() &&
+          conn.woff == conn.wbuf.size() &&
           now - conn.read_started >= options_.read_deadline)
         closeConn(conn, "idle");
     }
     for (auto& entry : orphans) {
       OrphanSlot& orphan = entry.second;
-      if (orphan.finished || !orphan.has_deadline || now < orphan.deadline)
-        continue;
+      if (!orphan.has_deadline || now < orphan.deadline) continue;
       orphan.has_deadline = false;
-      std::pair<std::string, Finish> synthesized;
-      if (orphan.on_timeout) synthesized = orphan.on_timeout();
-      if (!synthesized.second.valid) continue;  // real completion will erase
-      applyFinish(synthesized.second);
-      orphan.finished = true;  // entry stays to absorb the real completion
+      if (orphan.on_timeout) std::exchange(orphan.on_timeout, nullptr)();
     }
   };
 
@@ -1528,8 +1246,7 @@ void Server::serveEventLoop() {
         consider(conn.read_started + options_.read_deadline);
     }
     for (auto& entry : orphans)
-      if (!entry.second.finished && entry.second.has_deadline)
-        consider(entry.second.deadline);
+      if (entry.second.has_deadline) consider(entry.second.deadline);
     if (!next) return -1;
     const auto remaining = *next - now;
     if (remaining.count() <= 0) return 0;

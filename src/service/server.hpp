@@ -11,6 +11,8 @@
 //   {"verb":"sweep","scenarios":[{...},...]} -> {"ok":true,"results":[
 //                                                {"ok":true,...} |
 //                                                {"ok":false,"error":"..."}]}
+//                                               (a batch collected into one
+//                                               frame, in input order)
 //   {"verb":"batch","scenarios":[{...},...]} -> N per-result frames in
 //                                               completion order, each with
 //                                               "batch":{"index","seq","of"},
@@ -32,22 +34,20 @@
 // Every response additionally carries `"v":1` (see service/protocol.hpp);
 // unknown verbs yield {"ok":false,"error":...,"supported_verbs":[...]}.
 // The verb table itself lives in protocol.hpp's verbRegistry(); the server
-// binds a handler to every registry row (checked at construction).
+// binds one handler to every registry row (checked at construction).
 //
 // Any malformed line yields {"ok":false,"error":"..."}; the connection
 // stays open and clients may pipeline many requests per connection —
 // responses always come back in request order.
 //
-// Connection handling is a poll()-based event loop by default: one loop
-// thread owns every socket (nonblocking reads/writes, per-connection
-// buffers with incremental line framing), a small dispatch pool parses
-// requests and serializes responses, and simulation work stays on the job
-// engine's ThreadPool.  Job completions re-enter the loop through a wakeup
-// pipe.  A fair-share window keeps any one `batch` request from occupying
-// the whole engine queue, so interactive run/stats requests stay
-// responsive while batches stream.  ServerOptions::thread_per_connection
-// restores the legacy one-thread-per-accept loop (the baseline for
-// bench/server_saturation).
+// Connections are served by a poll()-based event loop: one loop thread
+// owns every socket (nonblocking reads/writes, per-connection buffers with
+// incremental line framing), a small dispatch pool parses requests and
+// serializes responses, and simulation work stays on the job engine's
+// ThreadPool.  Job completions re-enter the loop through a wakeup pipe.  A
+// fair-share window keeps any one `batch` or `sweep` request from
+// occupying the whole engine queue, so interactive run/stats requests stay
+// responsive while batches stream.
 //
 // The server records wall-clock service latency per request (parse ->
 // response ready) in a fixed-size reservoir and reports p50/p95 via
@@ -92,20 +92,16 @@ struct ServerOptions {
   obs::FlightRecorder* recorder = nullptr;
   /// Structured logger (nullptr: the process-wide obs::log()).
   obs::Log* log = nullptr;
-  /// Legacy accept loop: one blocking-I/O thread per connection.  Kept as
-  /// the measured baseline for bench/server_saturation and as an escape
-  /// hatch; the default is the event loop.
-  bool thread_per_connection = false;
   /// Event-loop dispatch pool size (request parse + verb dispatch +
   /// response serialization run here, off the loop thread).  0 = auto.
   std::size_t dispatch_threads = 0;
-  /// Fair-share dispatch: the most jobs one `batch` request may keep in
-  /// the engine at a time.  0 = auto (the engine's worker count), so a
-  /// batch can saturate the workers but an interactive run is never more
-  /// than one window behind in the bounded FIFO.
+  /// Fair-share dispatch: the most jobs one `batch` or `sweep` request may
+  /// keep in the engine at a time.  0 = auto (the engine's worker count),
+  /// so a batch can saturate the workers but an interactive run is never
+  /// more than one window behind in the bounded FIFO.
   std::size_t batch_window = 0;
-  /// Upper bound on scenarios per batch request (guards the per-request
-  /// bookkeeping the same way kMaxLineBytes guards the parser).
+  /// Upper bound on scenarios per batch or sweep request (guards the
+  /// per-request bookkeeping the same way kMaxLineBytes guards the parser).
   std::size_t max_batch = 4096;
   /// Metrics time-series ring behind the `history` verb: the registry is
   /// sampled every `history_interval` into a ring of `history_capacity`
@@ -140,7 +136,7 @@ public:
   /// The bound port (resolves ephemeral port 0).
   std::uint16_t port() const { return port_; }
 
-  /// Blocking accept/event loop; returns after a `shutdown` verb or
+  /// Blocking event loop; returns after a `shutdown` verb or
   /// stop(), once in-flight requests have been answered.
   void serve();
 
@@ -150,13 +146,13 @@ public:
   /// Stops the loop from another thread and joins it.
   void stop();
 
-  /// Handles one request line synchronously (exposed for protocol tests;
-  /// the legacy thread-per-connection path is a thin line-framing wrapper
-  /// around this).  Streaming verbs (`batch`) return all their frames
-  /// joined with '\n'.  When the recorder is enabled, `root_out`
-  /// (optional) receives the identity of the server.request root span
-  /// covering this request, so the caller can parent adjacent spans
-  /// (server.read / server.write) under it.
+  /// Handles one request line in-process, without a socket or a running
+  /// loop (protocol tests and embedders): the same dispatch path as a
+  /// connection, with the response frames collected here instead of on the
+  /// loop, waiting up to the verb's job deadline.  Streaming verbs
+  /// (`batch`) return all their frames, in completion order, joined with
+  /// '\n'.  When the recorder is enabled, `root_out` (optional) receives the
+  /// identity of the server.request root span covering this request.
   std::string handleRequest(const std::string& line,
                             obs::TraceContext* root_out = nullptr);
 
@@ -165,8 +161,8 @@ public:
 private:
   /// Deferred end-of-request accounting: one request_micros observation +
   /// latency-reservoir sample + server.request root span, applied exactly
-  /// once per request (on the loop thread for the event loop; inline for
-  /// the synchronous path), even when the connection died first.
+  /// once per request (on the loop thread, or by handleRequest for an
+  /// in-process request), even when the connection died first.
   struct Finish {
     bool valid = false;
     std::string verb_label;
@@ -175,8 +171,11 @@ private:
     std::chrono::steady_clock::time_point started;
   };
 
-  /// Identity + trace state of one in-flight request (slot) on the event
-  /// loop; built by dispatchLine, captured by async completions.
+  /// handleRequest's stand-in for the loop's slot (server.cpp).
+  struct Collector;
+
+  /// Identity + trace state of one in-flight request; built by dispatch,
+  /// captured by async completions.
   struct RequestCtx {
     std::uint64_t conn_id = 0;
     std::uint64_t slot_id = 0;
@@ -185,9 +184,13 @@ private:
     bool tracing = false;
     std::string verb_label = "unknown";
     std::chrono::steady_clock::time_point started;
+    /// Set for handleRequest only: completions land here instead of the
+    /// loop's queue.  Refcounted, so a job that finishes after the request
+    /// timed out still posts into live memory.
+    std::shared_ptr<Collector> collector;
   };
 
-  /// Message from dispatch/worker threads back to the loop thread.
+  /// Message from dispatch/worker threads back to the request's owner.
   struct Completion {
     std::uint64_t conn_id = 0;
     std::uint64_t slot_id = 0;
@@ -197,67 +200,50 @@ private:
     bool shutdown = false;  ///< drain and exit once everything flushed
     Finish finish;          ///< applied when `last`
     /// Slot-deadline registration (job verbs): when the deadline passes
-    /// before `last`, the loop invokes on_timeout to synthesize the
-    /// response frames + finish, and drops the eventual real completion.
+    /// before `last`, the owner invokes on_timeout, which posts the timeout
+    /// answer unless the real one was posted first.  The job verbs settle
+    /// that race at the source, so a request posts exactly one `last`.
     bool set_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
-    std::function<std::pair<std::string, Finish>()> on_timeout;
+    std::function<void()> on_timeout;
   };
 
-  struct BatchState;  // streaming batch bookkeeping (server.cpp)
+  struct BatchState;  // batch/sweep bookkeeping (server.cpp)
 
-  using SyncVerb = void (Server::*)(const Json& request, RequestCtx& ctx,
-                                    std::vector<Json>& frames);
-  using AsyncVerb = void (Server::*)(const Json& request,
-                                     const RequestCtx& ctx);
-  /// A verb's server-side binding: every row of protocol verbRegistry()
-  /// has exactly one (asserted in the constructor).  `sync` serves the
-  /// synchronous path (handleRequest / legacy connections); `async`
-  /// (optional) serves the event loop without blocking a dispatch thread
-  /// on job completion.
-  struct VerbBinding {
-    SyncVerb sync = nullptr;
-    AsyncVerb async = nullptr;
-  };
-  static const std::unordered_map<std::string, VerbBinding>& verbBindings();
+  /// A verb's server-side handler: every row of protocol verbRegistry()
+  /// has exactly one (asserted in the constructor).  Handlers never block
+  /// on a job: they post their response (or submit to the engine, whose
+  /// completions post it) through respondLast/postCompletion.
+  using Verb = void (Server::*)(const Json& request, const RequestCtx& ctx);
+  static const std::unordered_map<std::string, Verb>& verbBindings();
 
-  // Synchronous verb handlers (append response frames; usually one).
-  void verbRun(const Json& request, RequestCtx& ctx, std::vector<Json>& out);
-  void verbSweep(const Json& request, RequestCtx& ctx, std::vector<Json>& out);
-  void verbBatch(const Json& request, RequestCtx& ctx, std::vector<Json>& out);
-  void verbStats(const Json& request, RequestCtx& ctx, std::vector<Json>& out);
-  void verbMetrics(const Json& request, RequestCtx& ctx,
-                   std::vector<Json>& out);
-  void verbTrace(const Json& request, RequestCtx& ctx, std::vector<Json>& out);
-  void verbHealth(const Json& request, RequestCtx& ctx,
-                  std::vector<Json>& out);
-  void verbHistory(const Json& request, RequestCtx& ctx,
-                   std::vector<Json>& out);
-  void verbShutdown(const Json& request, RequestCtx& ctx,
-                    std::vector<Json>& out);
+  void onRun(const Json& request, const RequestCtx& ctx);
+  /// Serves `batch` (streamed frames) and `sweep` (one collected frame).
+  void onBatch(const Json& request, const RequestCtx& ctx);
+  void onStats(const Json& request, const RequestCtx& ctx);
+  void onMetrics(const Json& request, const RequestCtx& ctx);
+  void onTrace(const Json& request, const RequestCtx& ctx);
+  void onHealth(const Json& request, const RequestCtx& ctx);
+  void onHistory(const Json& request, const RequestCtx& ctx);
+  void onShutdown(const Json& request, const RequestCtx& ctx);
 
-  // Event-loop (async) verb handlers: submit to the engine and return;
-  // completions re-enter the loop via postCompletion.
-  void asyncRun(const Json& request, const RequestCtx& ctx);
-  void asyncSweep(const Json& request, const RequestCtx& ctx);
-  void asyncBatch(const Json& request, const RequestCtx& ctx);
-
-  /// Counts + logs a protocol error and builds the unknown-verb response
-  /// (shared by the sync and event-loop dispatch paths).
-  Json unknownVerbResponse(const std::string& verb,
-                           const obs::TraceContext& root);
-  /// One batch scenario finished: emit its stream frame (and the terminal
-  /// summary when it was the last), then refill the fair-share window.
+  /// The one request prologue: parse -> trace ids -> server.parse span ->
+  /// verb lookup -> request counter, then the verb's handler.  Any failure
+  /// is answered with a protocol-error response.
+  void dispatch(const std::string& line, RequestCtx& ctx);
+  /// Counts, annotates and logs a protocol error; returns its response.
+  Json protocolError(const std::string& message, RequestCtx& ctx);
+  /// One batch scenario finished: emit its stream frame or store its
+  /// result (plus the terminal frame when it was the last), then refill
+  /// the fair-share window.
   void finishBatchItem(const std::shared_ptr<BatchState>& state,
                        std::size_t index, const JobOutcome& outcome);
-  /// Slot-deadline handler for `batch`: synthesizes timeout frames for
-  /// every unfinished scenario plus the terminal summary.
-  std::pair<std::string, Finish> timeoutBatch(
-      const std::shared_ptr<BatchState>& state);
+  /// Slot-deadline handler for `batch`/`sweep`: unless the request already
+  /// finished, posts timeout answers for every unfinished scenario plus the
+  /// terminal frame.
+  void timeoutBatch(const std::shared_ptr<BatchState>& state);
 
   // Event-loop plumbing.
-  void serveEventLoop();
-  void serveThreaded();
   /// Parses + dispatches one request line on the dispatch pool.
   void dispatchLine(std::uint64_t conn_id, std::uint64_t slot_id,
                     std::string line,
@@ -265,29 +251,26 @@ private:
                     std::chrono::steady_clock::time_point read_finished);
   /// Stamps version + trace echo and frames one response for the wire.
   std::string wireFrame(Json response, const RequestCtx& ctx);
-  /// Posts the final (or only) response frame for a slot.
+  /// Posts the final (or only) response frame for a request.
   void respondLast(const RequestCtx& ctx, Json response,
                    bool shutdown = false);
   Finish makeFinish(const RequestCtx& ctx) const;
   void applyFinish(const Finish& finish);
-  void postCompletion(Completion completion);
+  /// Routes a completion of `ctx`'s request to its collector or, for a
+  /// connection's request, to the loop.
+  void postCompletion(const RequestCtx& ctx, Completion completion);
+  /// Registers the request's job deadline `budget` from now.
+  void registerDeadline(const RequestCtx& ctx,
+                        std::chrono::steady_clock::duration budget,
+                        std::function<void()> on_timeout);
   void wakeLoop();
   /// Submits eligible batch scenarios up to the fair-share window,
   /// holding duplicates of in-flight twins back so they become cache hits
   /// (keeps batch(N) bit-identical to N sequential runs).  Re-entrant-safe.
   void pumpBatch(const std::shared_ptr<BatchState>& state);
 
-  // Legacy thread-per-connection path.
-  void handleConnection(int fd);
-  void pokeListener();
-
   void recordLatency(double micros);
   Json statsJson();
-  /// Slow-request exemplar check (see ServerOptions::slow_request_us):
-  /// called once per finished request from both accounting paths
-  /// (handleRequest tail and applyFinish).
-  void noteSlowRequest(const std::string& verb_label, double total_micros,
-                       const obs::TraceContext& root);
   /// The `health` verb's per-connection table + last-verb/trace join,
   /// published by the loop thread (refreshed once per iteration).
   Json connectionsJson();
@@ -385,8 +368,6 @@ private:
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
       inflight_traces_;
 
-  std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
   /// Parse/serialize offload for the event loop; after engine_ so its
   /// queued tasks drain (destruction) while the engine is still alive.
   std::unique_ptr<sim::ThreadPool> dispatch_pool_;

@@ -36,11 +36,6 @@ IoStatus waitReady(int fd, short events, const IoDeadline& deadline) {
 
 }  // namespace
 
-IoDeadline deadlineAfter(std::chrono::milliseconds budget) {
-  if (budget.count() <= 0) return std::nullopt;
-  return std::chrono::steady_clock::now() + budget;
-}
-
 IoStatus sendAll(int fd, const std::string& data, const IoDeadline& deadline,
                  fault::FaultInjector* fault) {
   std::size_t sent = 0;

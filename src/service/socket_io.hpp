@@ -34,9 +34,6 @@ enum class IoStatus {
   kWouldBlock,  ///< nonblocking op made no progress; poll and retry
 };
 
-/// Builds a deadline `budget` from now; a zero/negative budget means none.
-IoDeadline deadlineAfter(std::chrono::milliseconds budget);
-
 /// Sends all of `data`, honoring short-write/reset injections and the
 /// deadline.  Returns kOk, kTimeout, or kError.
 IoStatus sendAll(int fd, const std::string& data, const IoDeadline& deadline,

@@ -494,9 +494,10 @@ TEST(ServerTraceTest, EndToEndStageSumMatchesRequestMicros) {
   ASSERT_TRUE(response.at("ok").asBool());
   ASSERT_TRUE(root_ctx.valid());
 
+  const auto spans = recorder.spans();  // `root` points into this copy
   const obs::FlightRecorder::Span* root = nullptr;
   double stage_sum = 0;
-  for (const auto& span : recorder.spans()) {
+  for (const auto& span : spans) {
     if (span.name == "server.request") root = &span;
     if (span.trace_id != root_ctx.trace_id) continue;
     if (span.name == "server.parse" || span.name == "cache.lookup" ||
@@ -652,25 +653,53 @@ Json stripVolatile(const Json& doc) {
   return out;
 }
 
-// Acceptance gate: batch(N) is bit-identical to N sequential runs — same
-// ok / hash / cached / coalesced flags and the same result payloads,
-// including cache-hit behavior for a duplicate scenario inside the batch.
+// The reference for batch and sweep: the same scenarios run one at a time
+// on a fresh server, volatile members stripped.
+std::vector<std::string> sequentialRuns(const Json& scenarios) {
+  service::Server server(testOptions());
+  server.start();
+  service::Client client(server.port());
+  std::vector<std::string> results;
+  for (const Json& scenario : scenarios.asArray())
+    results.push_back(stripVolatile(client.run(scenario)).dump());
+  client.shutdown();
+  server.stop();
+  return results;
+}
+
+// The same list as one `sweep` on a fresh server, over loopback or through
+// handleRequest: results[i], volatile members stripped.
+std::vector<std::string> sweepResults(const Json& scenarios, bool loopback) {
+  service::Server server(testOptions());
+  Json response;
+  if (loopback) {
+    server.start();
+    service::Client client(server.port());
+    response = client.sweep(scenarios);
+    client.shutdown();
+    server.stop();
+  } else {
+    Json request = Json::object();
+    request.set("verb", Json("sweep")).set("scenarios", scenarios);
+    response = Json::parse(server.handleRequest(request.dump()));
+  }
+  EXPECT_TRUE(response.at("ok").asBool()) << response.dump();
+  std::vector<std::string> results;
+  for (const Json& result : response.at("results").asArray())
+    results.push_back(stripVolatile(result).dump());
+  return results;
+}
+
+// Acceptance gate: batch(N) and sweep(N) are bit-identical to N sequential
+// runs — same ok / hash / cached / coalesced flags and the same result
+// payloads, including cache-hit behavior for a duplicate scenario inside
+// the request.
 TEST(ServerBatchTest, BatchMatchesSequentialRunsBitIdentical) {
   Json scenarios = Json::array();
   for (std::uint64_t seed : {21u, 22u, 23u, 21u})  // note the duplicate
     scenarios.push(smallScenarioJson(seed));
 
-  // Reference: the same scenarios run one at a time on a fresh server.
-  std::vector<std::string> expected;
-  {
-    service::Server server(testOptions());
-    server.start();
-    service::Client client(server.port());
-    for (const Json& scenario : scenarios.asArray())
-      expected.push_back(stripVolatile(client.run(scenario)).dump());
-    client.shutdown();
-    server.stop();
-  }
+  const std::vector<std::string> expected = sequentialRuns(scenarios);
   ASSERT_NE(Json::parse(expected[3]).find("cached"), nullptr);
   EXPECT_TRUE(Json::parse(expected[3]).at("cached").asBool());
 
@@ -702,11 +731,15 @@ TEST(ServerBatchTest, BatchMatchesSequentialRunsBitIdentical) {
     client.shutdown();
     server.stop();
   }
+
+  EXPECT_EQ(sweepResults(scenarios, /*loopback=*/true), expected);
+  EXPECT_EQ(sweepResults(scenarios, /*loopback=*/false), expected);
 }
 
 // Property check over randomized scenario mixes: for seeded random batches
 // (varying arbiter, master count, seeds, with deliberate duplicates) the
-// streamed batch results equal a fresh server's sequential runs.
+// streamed batch results and the collected sweep results equal a fresh
+// server's sequential runs.
 TEST(ServerBatchTest, RandomizedBatchesMatchSequentialRuns) {
   std::mt19937_64 rng(20260808);
   const char* arbiters[] = {"lottery", "priority", "rr", "fcfs"};
@@ -723,16 +756,7 @@ TEST(ServerBatchTest, RandomizedBatchesMatchSequentialRuns) {
       scenarios.push(service::toJson(service::normalized(scenario)));
     }
 
-    std::vector<std::string> expected;
-    {
-      service::Server server(testOptions());
-      server.start();
-      service::Client client(server.port());
-      for (const Json& scenario : scenarios.asArray())
-        expected.push_back(stripVolatile(client.run(scenario)).dump());
-      client.shutdown();
-      server.stop();
-    }
+    const std::vector<std::string> expected = sequentialRuns(scenarios);
     {
       service::Server server(testOptions());
       server.start();
@@ -756,89 +780,84 @@ TEST(ServerBatchTest, RandomizedBatchesMatchSequentialRuns) {
       client.shutdown();
       server.stop();
     }
+    EXPECT_EQ(sweepResults(scenarios, /*loopback=*/true), expected)
+        << "round " << round;
+    EXPECT_EQ(sweepResults(scenarios, /*loopback=*/false), expected)
+        << "round " << round;
   }
 }
 
-// Fair-share dispatch: a large batch keeps at most `batch_window` jobs in
-// the engine, so an interactive run submitted mid-batch completes long
-// before the batch drains instead of queueing behind all of it.
+// Fair-share dispatch: a large batch or sweep keeps at most `batch_window`
+// jobs in the engine, so an interactive run submitted mid-request
+// completes long before it drains instead of queueing behind all of it.
 TEST(ServerBatchTest, FairShareKeepsInteractiveRunsResponsive) {
-  service::ServerOptions options = testOptions();
-  options.engine.workers = 2;
-  options.engine.queue_depth = 64;
-  options.batch_window = 1;
-  service::Server server(options);
-  server.start();
+  for (const std::string verb : {"batch", "sweep"}) {
+    SCOPED_TRACE(verb);
+    service::ServerOptions options = testOptions();
+    options.engine.workers = 2;
+    options.engine.queue_depth = 64;
+    options.batch_window = 1;
+    service::Server server(options);
+    server.start();
 
-  Json scenarios = Json::array();
-  for (std::uint64_t seed = 300; seed < 308; ++seed) {
-    Scenario scenario;
-    // Long enough that the serialized batch (batch_window=1) outlasts the
-    // interactive run's head-start sleep even on a fast machine.
-    scenario.cycles = 400000;
-    scenario.seed = seed;
-    scenarios.push(service::toJson(scenario));
-  }
-
-  std::atomic<bool> batch_ok{false};
-  std::atomic<std::int64_t> batch_micros{0};
-  const auto start = std::chrono::steady_clock::now();
-  std::thread batcher([&] {
-    service::Client client(server.port());
-    const Json summary = client.batch(scenarios, {});
-    batch_ok = summary.at("ok").asBool() &&
-               summary.at("batch").at("errors").asUint64() == 0;
-    batch_micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  });
-
-  // Give the batch a head start, then race an interactive run against it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  service::Client interactive(server.port());
-  const Json response = interactive.run(smallScenarioJson(999));
-  const auto interactive_micros =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  ASSERT_TRUE(response.at("ok").asBool());
-
-  batcher.join();
-  EXPECT_TRUE(batch_ok.load());
-  // The interactive run finished while the batch was still streaming, and
-  // well inside the batch's total wall clock.
-  EXPECT_LT(interactive_micros, batch_micros.load());
-  EXPECT_LT(interactive_micros, batch_micros.load() / 2 + 100000);
-  interactive.shutdown();
-  server.stop();
-}
-
-// The legacy accept loop (one blocking thread per connection) remains
-// available behind ServerOptions::thread_per_connection, and serves the
-// whole verb surface — including a (sequential) batch stream.
-TEST(ServerLoopbackTest, LegacyThreadPerConnectionModeServesAllVerbs) {
-  service::ServerOptions options = testOptions();
-  options.thread_per_connection = true;
-  service::Server server(options);
-  server.start();
-  {
-    service::Client client(server.port());
-    const Json run = client.run(smallScenarioJson(61));
-    ASSERT_TRUE(run.at("ok").asBool());
     Json scenarios = Json::array();
-    scenarios.push(smallScenarioJson(61)).push(smallScenarioJson(62));
-    std::vector<std::uint64_t> seqs;
-    const Json summary = client.batch(scenarios, [&](const Json& frame) {
-      seqs.push_back(frame.at("batch").at("seq").asUint64());
+    for (std::uint64_t seed = 300; seed < 308; ++seed) {
+      Scenario scenario;
+      // Long enough that the serialized batch (batch_window=1) outlasts
+      // the interactive run's head-start sleep even on a fast machine.
+      scenario.cycles = 400000;
+      scenario.seed = seed;
+      scenarios.push(service::toJson(scenario));
+    }
+
+    std::atomic<bool> batch_ok{false};
+    std::atomic<std::int64_t> batch_micros{0};
+    const auto start = std::chrono::steady_clock::now();
+    std::thread batcher([&] {
+      service::Client client(server.port());
+      if (verb == "batch") {
+        const Json summary = client.batch(scenarios, {});
+        batch_ok = summary.at("ok").asBool() &&
+                   summary.at("batch").at("errors").asUint64() == 0;
+      } else {
+        const Json response = client.sweep(scenarios);
+        bool ok = response.at("ok").asBool();
+        for (const Json& result : response.at("results").asArray())
+          ok = ok && result.at("ok").asBool();
+        batch_ok = ok;
+      }
+      batch_micros = std::chrono::duration_cast<std::chrono::microseconds>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
     });
-    ASSERT_TRUE(summary.at("ok").asBool());
-    EXPECT_EQ(summary.at("batch").at("completed").asUint64(), 2u);
-    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1}));
-    const Json stats = client.stats();
-    EXPECT_GE(stats.at("stats").at("requests").asUint64(), 3u);
-    client.shutdown();
+
+    // Give the batch a head start, then race an interactive run against it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    service::Client interactive(server.port());
+    const auto sent = std::chrono::steady_clock::now();
+    const Json response = interactive.run(smallScenarioJson(999));
+    const auto finished = std::chrono::steady_clock::now();
+    const auto interactive_micros =
+        std::chrono::duration_cast<std::chrono::microseconds>(finished - start)
+            .count();
+    const auto wait_micros =
+        std::chrono::duration_cast<std::chrono::microseconds>(finished - sent)
+            .count();
+    ASSERT_TRUE(response.at("ok").asBool());
+
+    batcher.join();
+    EXPECT_TRUE(batch_ok.load());
+    // The interactive run finished while the batch was still running, and
+    // well inside the batch's total wall clock.
+    EXPECT_LT(interactive_micros, batch_micros.load());
+    EXPECT_LT(interactive_micros, batch_micros.load() / 2 + 100000);
+    // It never queued behind the request's backlog: the window leaves the
+    // second worker free, so it waited less than one of the 8 long jobs
+    // (which the window runs one at a time) takes on average.
+    EXPECT_LT(wait_micros, batch_micros.load() / 8);
+    interactive.shutdown();
+    server.stop();
   }
-  server.stop();
 }
 
 // The typed envelope: exchange() is the single request path, traces are
@@ -952,32 +971,6 @@ TEST(ServerHealthTest, HealthVerbReportsLoopAndConnections) {
         saw_self = true;
     }
     EXPECT_TRUE(saw_self);
-    client.shutdown();
-  }
-  server.stop();
-}
-
-// Both server modes answer health: the legacy accept loop reports its mode
-// and zeroed loop instrumentation (there is no event loop to instrument),
-// never an unknown-verb error.
-TEST(ServerHealthTest, HealthVerbThreadPerConnectionMode) {
-  obs::MetricsRegistry fresh;  // the loop instruments of other tests'
-                               // servers live on the process registry
-  service::ServerOptions options = testOptions();
-  options.engine.registry = &fresh;
-  options.thread_per_connection = true;
-  options.history_interval = std::chrono::milliseconds(0);
-  service::Server server(options);
-  server.start();
-  {
-    service::Client client(server.port());
-    const Json response = client.health();
-    ASSERT_TRUE(response.at("ok").asBool());
-    const Json& health = response.at("health");
-    EXPECT_EQ(health.at("mode").asString(), "thread-per-connection");
-    EXPECT_EQ(health.at("loop").at("iterations").asUint64(), 0u);
-    EXPECT_EQ(health.at("connections").size(), 0u);  // event-loop table only
-    EXPECT_GE(health.at("requests").at("total").asUint64(), 0u);
     client.shutdown();
   }
   server.stop();
@@ -1232,7 +1225,8 @@ TEST(ServerHealthTest, ConcurrentScrapeDuringSaturation) {
   server.stop();
 }
 
-// An oversized batch is refused with a typed error before any job runs.
+// An oversized batch or sweep is refused with a typed error before any job
+// runs.
 TEST(ServerBatchTest, OversizedBatchIsRefused) {
   service::ServerOptions options = testOptions();
   options.max_batch = 2;
@@ -1243,14 +1237,129 @@ TEST(ServerBatchTest, OversizedBatchIsRefused) {
     Json scenarios = Json::array();
     for (std::uint64_t seed = 0; seed < 3; ++seed)
       scenarios.push(smallScenarioJson(seed));
-    const Json response = client.batch(scenarios, {});
-    EXPECT_FALSE(response.at("ok").asBool());
-    EXPECT_NE(response.at("error").asString().find("exceeds"),
-              std::string::npos);
+    for (const Json& response :
+         {client.batch(scenarios, {}), client.sweep(scenarios)}) {
+      EXPECT_FALSE(response.at("ok").asBool()) << response.dump();
+      EXPECT_NE(response.at("error").asString().find("exceeds"),
+                std::string::npos);
+    }
     EXPECT_EQ(server.engine().stats().completed, 0u);
     client.shutdown();
   }
   server.stop();
+}
+
+// The job-deadline path: with a 1 ms per-job budget, every job verb answers
+// its timeout shape, both over the loop and through handleRequest, and each
+// request is accounted exactly once although its jobs complete afterwards.
+TEST(ServerDeadlineTest, JobDeadlineAnswersEveryJobVerbOnce) {
+  // Every job also sleeps 50 ms before simulating, so the 1 ms deadline
+  // wins the race by a wide margin even on a loaded machine.
+  const fault::FaultPlan plan =
+      fault::parseFaultPlan("seed=1,job_delay=1,job_delay_ms=50");
+  constexpr std::size_t kN = 3;
+  // Distinct seeds per request: a late job must not make a later request
+  // a cache hit.
+  const auto scenarioList = [](std::uint64_t first_seed) {
+    Json list = Json::array();
+    for (std::uint64_t seed = first_seed; seed < first_seed + kN; ++seed) {
+      Scenario scenario;
+      scenario.cycles = 400000;
+      scenario.seed = seed;
+      list.push(service::toJson(scenario));
+    }
+    return list;
+  };
+  for (const bool loopback : {true, false}) {
+    SCOPED_TRACE(loopback ? "loopback" : "handleRequest");
+    fault::FaultInjector slow(plan);
+    obs::MetricsRegistry fresh;
+    service::ServerOptions options = testOptions();
+    options.engine.registry = &fresh;
+    options.engine.timeout = std::chrono::milliseconds(1);
+    options.engine.fault = &slow;
+    options.history_interval = std::chrono::milliseconds(0);
+    service::Server server(options);
+    int fd = -1;
+    if (loopback) {
+      server.start();
+      fd = rawConnectTo(server.port());
+    }
+    // Sends one request and returns all `frames` of its response.
+    const auto send = [&](const Json& request, std::size_t frames) {
+      std::vector<std::string> lines;
+      if (loopback) {
+        const std::string wire = request.dump() + "\n";
+        EXPECT_EQ(::send(fd, wire.data(), wire.size(), 0),
+                  static_cast<ssize_t>(wire.size()));
+        lines = readLines(fd, frames);
+      } else {
+        std::istringstream in(server.handleRequest(request.dump()));
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+      }
+      EXPECT_EQ(lines.size(), frames);
+      std::vector<Json> responses;
+      for (const std::string& line : lines)
+        responses.push_back(Json::parse(line));
+      return responses;
+    };
+
+    Json run = Json::object();
+    run.set("verb", Json("run"))
+        .set("scenario", scenarioList(900).asArray().front());
+    for (const Json& response : send(run, 1)) {
+      EXPECT_FALSE(response.at("ok").asBool()) << response.dump();
+      EXPECT_TRUE(response.at("timeout").asBool()) << response.dump();
+    }
+
+    Json batch = Json::object();
+    batch.set("verb", Json("batch")).set("scenarios", scenarioList(910));
+    const std::vector<Json> frames = send(batch, kN + 1);
+    ASSERT_EQ(frames.size(), kN + 1);
+    for (std::size_t i = 0; i < kN; ++i) {
+      EXPECT_FALSE(frames[i].at("ok").asBool()) << frames[i].dump();
+      EXPECT_TRUE(frames[i].at("timeout").asBool()) << frames[i].dump();
+    }
+    ASSERT_TRUE(service::isBatchSummaryFrame(frames.back()));
+    EXPECT_EQ(frames.back().at("batch").at("errors").asUint64(), kN);
+    EXPECT_EQ(frames.back().at("batch").at("completed").asUint64(), 0u);
+
+    Json sweep = Json::object();
+    sweep.set("verb", Json("sweep")).set("scenarios", scenarioList(920));
+    for (const Json& response : send(sweep, 1)) {
+      ASSERT_TRUE(response.at("ok").asBool()) << response.dump();
+      const auto& results = response.at("results").asArray();
+      ASSERT_EQ(results.size(), kN);
+      for (const Json& result : results)
+        EXPECT_TRUE(result.at("timeout").asBool()) << result.dump();
+    }
+
+    // The real completions arrive after the deadlines answered: let them
+    // land (and be dropped) before counting.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (server.engine().stats().in_flight != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    Json stats_request = Json::object();
+    stats_request.set("verb", Json("stats"));
+    const Json stats = send(stats_request, 1).at(0).at("stats");
+    EXPECT_EQ(stats.at("jobs_timed_out").asUint64(), 1 + 2 * kN);
+    // One lb_server_request_micros observation per request (run, batch,
+    // sweep, stats): each Finish was applied exactly once.
+    long long observations = 0;
+    std::istringstream lines(fresh.renderPrometheus());
+    for (std::string line; std::getline(lines, line);)
+      if (line.rfind("lb_server_request_micros_count{", 0) == 0)
+        observations += std::stoll(line.substr(line.find("} ") + 2));
+    EXPECT_EQ(observations, 4);
+    if (loopback) {
+      ::close(fd);
+      server.stop();
+    }
+  }
 }
 
 }  // namespace
